@@ -172,6 +172,26 @@ class DataMovementSolution:
         """Throughput normalized to a common PE count and clock (Fig. 10)."""
         return 2.0 * num_pes * frequency_ghz * self.utilization(workload)
 
+    def estimated_cycles(
+        self,
+        workload: Workload,
+        mu: int = 8,
+        nu: int = 8,
+        ku: int = 8,
+        utilization: Optional[float] = None,
+    ) -> int:
+        """The model's total cycle count for ``workload``.
+
+        Requires a performance model: the ideal compute cycle count on an
+        ``mu×nu×ku`` PE array divided by the model's estimated utilization.
+        Callers that already evaluated the model pass ``utilization`` to
+        avoid a second evaluation.
+        """
+        if utilization is None:
+            utilization = self.utilization(workload)  # raises without a model
+        ideal = workload.ideal_compute_cycles(mu, nu, ku)
+        return max(1, int(round(ideal / max(utilization, 1e-9))))
+
     def analytic_cycle_model(
         self,
         workload: Workload,
@@ -180,19 +200,10 @@ class DataMovementSolution:
         ku: int = 8,
         utilization: Optional[float] = None,
     ) -> AnalyticCycleModel:
-        """Wrap the model's estimate for ``workload`` as an event-driven target.
-
-        Requires a performance model: the total cycle count is the ideal
-        compute cycle count on an ``mu×nu×ku`` PE array divided by the
-        model's estimated utilization.  Callers that already evaluated the
-        model pass ``utilization`` to avoid a second evaluation.
-        """
-        if utilization is None:
-            utilization = self.utilization(workload)  # raises without a model
-        ideal = workload.ideal_compute_cycles(mu, nu, ku)
-        total = max(1, int(round(ideal / max(utilization, 1e-9))))
+        """Wrap :meth:`estimated_cycles` as an event-driven target."""
         return AnalyticCycleModel(
-            name=f"{self.slug}:{workload.name}", total_cycles=total
+            name=f"{self.slug}:{workload.name}",
+            total_cycles=self.estimated_cycles(workload, mu, nu, ku, utilization),
         )
 
     # ------------------------------------------------------------------

@@ -626,8 +626,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.events and shards > 0:
         print(
-            "note: --events is unavailable in sharded mode (events stay "
-            "inside each shard process); ignoring it",
+            "note: --events is unavailable in sharded mode (shard processes "
+            "publish no event stream); ignoring it",
             file=sys.stderr,
         )
     recorder = None
@@ -662,12 +662,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             journal_path = Path(args.journal)
         client = ClusterService(
             cache_dir=cache_dir,
-            config=ClusterConfig(
-                shards=shards,
-                worker_threads=args.workers,
-                max_backlog=args.backlog,
-                progress_interval=args.progress_interval,
-            ),
+            config=ClusterConfig(shards=shards, worker_threads=args.workers),
             journal=journal_path,
         )
     else:
@@ -747,8 +742,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"service: {stats['submitted']} submitted, {stats['executed']} simulated, "
         f"{stats['coalesced']} coalesced, {stats['cache_hits']} cache hits "
         f"(coalescing hit-rate {stats['coalescing_hit_rate']:.0%}, "
-        f"workers {args.workers}, backlog {args.backlog}"
-        + (f", shards {shards}, restarts {stats['restarts']})" if shards else ")")
+        f"workers {args.workers}, "
+        + (
+            f"shards {shards}, restarts {stats['restarts']})"
+            if shards
+            else f"backlog {args.backlog})"
+        )
     )
     return 0
 
@@ -825,11 +824,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
         client = ClusterService(
             cache_dir=cache_dir,
-            config=ClusterConfig(
-                shards=shards,
-                worker_threads=args.workers,
-                max_backlog=args.backlog,
-            ),
+            config=ClusterConfig(shards=shards, worker_threads=args.workers),
         )
     else:
         client = ServiceClient(
@@ -1199,15 +1194,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="bounded admission-queue depth; overflowing it is rejected "
-        "with QueueFullError (default: 64)",
+        help="bounded admission-queue depth of the in-process service "
+        "(--shards 0); overflowing it is rejected with QueueFullError "
+        "(default: 64)",
     )
     serve.add_argument(
         "--progress-interval",
         type=int,
         default=250_000,
         metavar="CYCLES",
-        help="cycle cadence of streaming progress events (default: 250000)",
+        help="cycle cadence of streaming progress events of the in-process "
+        "service (--shards 0; default: 250000)",
     )
     serve.add_argument(
         "--shards",
@@ -1377,7 +1374,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         metavar="N",
-        help="bounded admission-queue depth (default: 256)",
+        help="bounded admission-queue depth of the in-process service "
+        "(--shards 0; default: 256)",
     )
     replay.add_argument(
         "--seed",

@@ -2,14 +2,13 @@
 
 The :mod:`repro.serve` service coalesces, caches and fair-queues — but one
 process means one GIL, and compute-bound simulation throughput flatlines
-however many threads it runs.  :mod:`repro.cluster` shards that same
-service across worker *processes*:
+however many threads it runs.  :mod:`repro.cluster` keeps coalescing,
+cache probes and settlement in the parent and executes on worker
+*processes*:
 
 * :class:`~repro.cluster.router.ShardRouter` hash-partitions jobs by their
-  content hash, so identical jobs land on the same shard and per-shard
-  in-flight coalescing stays exactly correct;
-* each shard is a forked process running a private
-  :class:`~repro.serve.service.SimulationService`
+  content hash, so identical jobs always land on the same shard;
+* each shard is a forked process running a plain thread-pool executor
   (:mod:`~repro.cluster.worker`), speaking the length-prefixed message
   protocol of :mod:`~repro.cluster.protocol`;
 * a :class:`~repro.cluster.supervisor.Supervisor` heartbeats every shard,

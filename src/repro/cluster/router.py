@@ -3,9 +3,8 @@
 The cluster routes every job by its stable content hash
 (:meth:`~repro.runtime.job.SimJob.job_hash`), so
 
-* identical jobs always land on the same shard — in-flight coalescing
-  inside each shard's :class:`~repro.serve.service.SimulationService`
-  stays exactly as correct as in the single-process service;
+* identical jobs always land on the same shard (the parent coalesces
+  them before routing, so a shard never sees an in-flight duplicate);
 * routing is deterministic across processes and restarts — a requeued job
   goes back to (the restarted incarnation of) its original shard, and a
   resumed journal replays onto the same partitioning.

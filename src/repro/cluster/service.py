@@ -18,12 +18,12 @@ How one submission flows:
    configured, the accepted job is recorded *before* dispatch, so a crash
    between acceptance and completion resubmits it on restart.
 4. **Route** — :class:`~repro.cluster.router.ShardRouter` hash-partitions
-   by job hash: identical jobs always share a shard, keeping the shard's
-   own in-flight coalescing exactly correct.
+   by job hash, so identical jobs always share a shard.
 5. **Dispatch** — the job travels to the shard worker over the
-   length-prefixed :mod:`~repro.cluster.protocol` channel; the worker's
-   embedded :class:`~repro.serve.service.SimulationService` executes it and
-   sends the outcome (or the original exception) back.
+   length-prefixed :mod:`~repro.cluster.protocol` channel; the worker
+   (:mod:`~repro.cluster.worker`) is a plain executor — thread pool,
+   start-time cache probe, backend, cache write-back — and sends the
+   outcome (or the original exception) back.
 6. **Settle** — the future resolves, the completion is journaled, and every
    coalesced waiter observes the same outcome object.
 
@@ -49,12 +49,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
-from ..serve.service import ServiceClosedError
+from ..serve.service import CounterStats, ServiceClosedError
 from .journal import JobJournal
 from .protocol import MSG_ERROR, MSG_RESULT
 from .router import ShardRouter
@@ -77,13 +76,11 @@ class ClusterConfig:
     shards:
         Worker processes; throughput scales with this up to the core count.
     worker_threads:
-        Executor threads *inside* each shard's embedded service.  ``1`` is
-        right for CPU-bound simulation (the shard process is the unit of
-        parallelism); raise it only for I/O-heavy custom backends.
-    max_backlog:
-        Per-shard admission bound of the embedded service.
-    progress_interval:
-        Cycle cadence of the engines' cooperative yield points in workers.
+        Executor threads inside each shard process.  ``1`` is right for
+        CPU-bound simulation (the shard process is the unit of
+        parallelism); raise it only for I/O-heavy custom backends.  Jobs
+        beyond the free threads wait in the shard's unbounded pool queue:
+        the parent has already accepted them, so a shard never rejects.
     heartbeat_interval / heartbeat_timeout / backoff_base / backoff_cap /
     max_restarts / ready_timeout:
         Supervision knobs, see
@@ -95,8 +92,6 @@ class ClusterConfig:
 
     shards: int = 2
     worker_threads: int = 1
-    max_backlog: int = 1024
-    progress_interval: int = 250_000
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 15.0
     backoff_base: float = 0.1
@@ -110,8 +105,6 @@ class ClusterConfig:
             raise ValueError("shards must be positive")
         if self.worker_threads <= 0:
             raise ValueError("worker_threads must be positive")
-        if self.max_backlog <= 0:
-            raise ValueError("max_backlog must be positive")
         if self.shutdown_timeout <= 0:
             raise ValueError("shutdown_timeout must be positive")
 
@@ -126,40 +119,26 @@ class ClusterConfig:
         )
 
 
-class ClusterStats:
+class ClusterStats(CounterStats):
     """Monotonic counters of one cluster instance.
 
-    Backed by a per-cluster :class:`~repro.obs.metrics.MetricsRegistry`
-    exactly like the thread service's ``ServiceStats``: reads return plain
-    ints, ``stats.executed += 1`` routes the delta into the backing
-    counter, and monotonicity is enforced (a decrease raises
-    ``ValueError``).
+    The shared service counter table (see
+    :class:`~repro.serve.service.CounterStats`) extended with the
+    cluster's own counters.
     """
 
     _COUNTERS = {
-        "submitted": ("repro_submitted_total", "Jobs submitted to the cluster."),
-        "coalesced": (
-            "repro_coalesced_total",
-            "Submissions that rode an identical in-flight job.",
-        ),
-        # Parent-side result-cache hits (never dispatched).
-        "cache_hits": (
-            "repro_cache_hits_total",
-            "Submissions resolved from the parent-side result cache.",
-        ),
+        **CounterStats._COUNTERS,
         # Served from the journal's replayed completions (cache-less mode).
         "journal_hits": (
             "repro_journal_hits_total",
             "Submissions served from journal-replayed completions.",
         ),
-        # Jobs a shard actually simulated.
-        "executed": ("repro_executed_total", "Jobs a shard actually simulated."),
         # Jobs a shard resolved from the shared cache (raced writers etc.).
         "shard_cache_hits": (
             "repro_shard_cache_hits_total",
             "Jobs a shard resolved from the shared cache.",
         ),
-        "failed": ("repro_failed_total", "Jobs whose shard raised."),
         # In-flight jobs redispatched after a shard crash.
         "requeued": (
             "repro_requeued_total",
@@ -172,51 +151,10 @@ class ClusterStats:
         ),
     }
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            attr: self.registry.counter(name, help)
-            for attr, (name, help) in self._COUNTERS.items()
-        }
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].inc(value - counters[name].value)
-            return
-        object.__setattr__(self, name, value)
-
-    @property
-    def coalescing_hit_rate(self) -> float:
-        return self.coalesced / self.submitted if self.submitted else 0.0
-
     @property
     def cache_hit_rate(self) -> float:
         hits = self.cache_hits + self.journal_hits
         return hits / self.submitted if self.submitted else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "journal_hits": self.journal_hits,
-            "executed": self.executed,
-            "shard_cache_hits": self.shard_cache_hits,
-            "failed": self.failed,
-            "requeued": self.requeued,
-            "recovered": self.recovered,
-            "coalescing_hit_rate": self.coalescing_hit_rate,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
 
 
 @dataclass
@@ -262,7 +200,6 @@ class _ClusterEntry:
     client: str
     future: "Future[SimOutcome]"
     waiters: int = 1
-    submitted_at: float = 0.0
 
 
 class ClusterService:
@@ -353,8 +290,6 @@ class ClusterService:
             index,
             cache_dir=str(self.cache.root) if self.cache is not None else None,
             worker_threads=self.config.worker_threads,
-            max_backlog=self.config.max_backlog,
-            progress_interval=self.config.progress_interval,
             on_message=self._on_message,
             on_disconnect=self._supervisor.notify_disconnect,
         )
@@ -404,7 +339,7 @@ class ClusterService:
 
         ``drain=True`` (default): every dispatched job runs to completion
         on its shard and resolves its waiters before the processes exit.
-        ``drain=False``: jobs still queued inside a shard's service are
+        ``drain=False``: jobs still queued inside a shard's thread pool are
         cancelled (waiters get :class:`ServiceClosedError`); jobs already
         executing finish and resolve normally.  Idempotent.
         """
@@ -531,7 +466,6 @@ class ClusterService:
                 shard=shard,
                 client=client,
                 future=Future(),
-                submitted_at=time.monotonic(),
             )
             if self.journal is not None and journal_submission:
                 self.journal.record_submission(key, job)
@@ -679,12 +613,8 @@ class ClusterService:
         summary["restarts"] = self.restarts
         return summary
 
-    # ServiceClient API parity: callers treat stats() as a dict snapshot.
-    def stats_snapshot(self) -> Dict[str, object]:
-        return self.stats_dict()
-
     def snapshot(self, wait: float = 0.5) -> Dict[str, object]:
-        """Cluster-wide ops snapshot, aggregated over per-shard services.
+        """Cluster-wide ops snapshot, aggregated over per-shard stats.
 
         Pings every live shard and waits up to ``wait`` seconds for fresh
         pongs, then merges: total queue depth, per-shard executed counts
@@ -734,8 +664,6 @@ class ClusterService:
             "config": {
                 "shards": self.config.shards,
                 "worker_threads": self.config.worker_threads,
-                "max_backlog": self.config.max_backlog,
-                "progress_interval": self.config.progress_interval,
             },
             "cache": self.cache.stats() if self.cache is not None else None,
             "journal": str(self.journal.path) if self.journal else None,

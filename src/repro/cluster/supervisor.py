@@ -99,16 +99,12 @@ class ShardHandle:
         *,
         cache_dir: Optional[str],
         worker_threads: int,
-        max_backlog: int,
-        progress_interval: int,
         on_message: Callable[["ShardHandle", dict], None],
         on_disconnect: Callable[["ShardHandle"], None],
     ) -> None:
         self.index = index
         self._cache_dir = cache_dir
         self._worker_threads = worker_threads
-        self._max_backlog = max_backlog
-        self._progress_interval = progress_interval
         self._on_message = on_message
         self._on_disconnect = on_disconnect
         self.process = None
@@ -147,8 +143,6 @@ class ShardHandle:
                 self.index,
                 self._cache_dir,
                 self._worker_threads,
-                self._max_backlog,
-                self._progress_interval,
             ),
             name=f"repro-shard-{self.index}",
             daemon=True,
@@ -236,11 +230,15 @@ class ShardHandle:
             self.channel.close()
 
     def join(self, timeout: float) -> None:
+        """Wait for the process to exit, then for the reader to consume its
+        last frames (results sent just before exit must still settle)."""
         if self.process is not None:
             self.process.join(timeout)
             if self.process.is_alive():
                 self.process.kill()
                 self.process.join(timeout)
+        if self._reader is not None:
+            self._reader.join(timeout)
 
 
 class Supervisor:

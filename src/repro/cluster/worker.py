@@ -1,34 +1,46 @@
-"""The shard worker process: one ``SimulationService`` behind a socket.
+"""The shard worker process: an executor behind a socket.
 
 Each shard is a forked child process running :func:`shard_worker_main`.
-Inside it, a full single-process :class:`~repro.serve.service.SimulationService`
-(via the sync :class:`~repro.serve.client.ServiceClient` facade) does what
-it already does well — coalesce duplicate in-flight jobs, probe the shared
-result cache before scheduling, execute on a small thread pool — while the
-process boundary buys what threads cannot: a private GIL, so N shards run
-N simulations truly in parallel.
+The parent :class:`~repro.cluster.service.ClusterService` has already
+coalesced, probed the cache and journal, and routed every job it sends,
+so a shard only executes: ``job`` frames go straight to a
+``ThreadPoolExecutor(worker_threads)``, and each job runs the shared
+execute step of :func:`~repro.serve.service.execute_and_write_back` — a
+shared-cache probe when the job starts (another shard or an earlier
+incarnation may have written it meanwhile), then the backend, then the
+cache write-back.  The process boundary buys what threads cannot: a
+private GIL, so N shards run N simulations truly in parallel.
 
 The worker's main thread is a plain receive loop on the length-prefixed
 :class:`~repro.cluster.protocol.MessageChannel`:
 
-* ``job``      → submit to the service; a completion callback sends the
-  ``result`` (or ``error``) frame from the service's loop thread, so the
-  main thread keeps answering pings while simulations run;
-* ``ping``     → answer ``pong`` carrying the service's stats snapshot —
-  the supervisor's liveness signal and the cluster's per-shard telemetry;
-* ``shutdown`` → close the service (draining or not), answer ``bye``, exit.
+* ``job``      → queue on the pool; the pool thread that runs the job
+  sends its ``result`` (or ``error``) frame, so the main thread keeps
+  answering pings while simulations run;
+* ``ping``     → answer ``pong`` carrying a stats snapshot built from
+  :class:`~repro.serve.service.ServiceStats` — the supervisor's liveness
+  signal and the cluster's per-shard telemetry;
+* ``shutdown`` → drain the pool (or cancel its queued jobs, whose waiters
+  get :class:`~repro.serve.service.ServiceClosedError`), answer ``bye``,
+  exit.
 
-EOF on the channel means the parent died: the worker closes without
-draining and exits — an orphaned shard must not outlive its cluster.
+EOF on the channel means the parent died: the worker cancels queued jobs
+and exits — an orphaned shard must not outlive its cluster.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from ..serve.client import ServiceClient
-from ..serve.service import ServiceConfig
+from ..obs.trace import uninstall_tracer
+from ..runtime.cache import ResultCache
+from ..runtime.job import SimJob
+from ..runtime.outcome import SimOutcome
+from ..serve.service import ServiceClosedError, ServiceStats, execute_and_write_back
 from .protocol import (
     MSG_BYE,
     MSG_ERROR,
@@ -67,8 +79,6 @@ def shard_worker_main(
     shard_index: int,
     cache_dir: Optional[str],
     worker_threads: int,
-    max_backlog: int,
-    progress_interval: int,
 ) -> None:
     """Entry point of one shard process (started via the fork context).
 
@@ -76,18 +86,21 @@ def shard_worker_main(
     the parent's end, inherited by the fork and closed here first so the
     parent's death surfaces as EOF on ``channel``.
     """
+    # A tracer installed in the parent was copied by the fork: its buffer
+    # would grow unexported here, and its lock may have been held by a
+    # parent thread at fork time.
+    uninstall_tracer()
     if parent_channel is not None:
         # Inherited duplicate of the parent's end: plain fd close only — a
         # shutdown() here would sever the connection the parent still uses.
         parent_channel.close(shutdown=False)
 
-    client = ServiceClient(
-        cache_dir=cache_dir,
-        config=ServiceConfig(
-            max_workers=worker_threads,
-            max_backlog=max_backlog,
-            progress_interval=progress_interval,
-        ),
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    stats = ServiceStats()
+    lock = threading.Lock()  # guards stats and queued
+    queued = 0
+    pool = ThreadPoolExecutor(
+        max_workers=worker_threads, thread_name_prefix=f"repro-shard-{shard_index}"
     )
 
     def send(message: dict) -> None:
@@ -98,8 +111,34 @@ def shard_worker_main(
         except (OSError, ValueError):
             pass
 
+    def run(job: SimJob, key: str, received_at: float) -> SimOutcome:
+        nonlocal queued
+        with lock:
+            queued -= 1
+        outcome = cache.get(key) if cache is not None else None
+        if outcome is not None:
+            with lock:
+                stats.cache_hits += 1
+            return outcome
+        outcome = execute_and_write_back(job, key, cache)
+        with lock:
+            stats.record_executed(outcome, time.monotonic() - received_at)
+        return outcome
+
     def on_done(seq: int, key: str, future) -> None:
-        error = future.exception()
+        # Runs on the pool thread that ran the job, or on the main thread
+        # for a job cancelled by a non-draining shutdown.
+        if future.cancelled():
+            with lock:
+                stats.cancelled += 1
+            error = ServiceClosedError(
+                f"shard {shard_index} closed before job {key[:12]} started"
+            )
+        else:
+            error = future.exception()
+            if error is not None:
+                with lock:
+                    stats.failed += 1
         if error is None:
             send(
                 {
@@ -124,7 +163,8 @@ def shard_worker_main(
 
     send({"kind": MSG_READY, "shard": shard_index, "pid": os.getpid()})
 
-    drain_on_exit = False
+    drain = False  # an EOF exit cancels queued jobs
+    acknowledge = False  # only a requested shutdown is answered with bye
     try:
         while True:
             try:
@@ -133,45 +173,37 @@ def shard_worker_main(
                 break  # parent gone (or stream corrupt): exit without drain
             kind = message.get("kind")
             if kind == MSG_JOB:
-                seq, key, job = message["seq"], message["key"], message["job"]
-                try:
-                    ticket = client.submit(job, client_name=f"shard{shard_index}")
-                except Exception as error:  # noqa: BLE001 — backpressure etc.
-                    send(
-                        {
-                            "kind": MSG_ERROR,
-                            "seq": seq,
-                            "key": key,
-                            "shard": shard_index,
-                            "error": f"{type(error).__name__}: {error}",
-                            "exception": _pickle_safe(error),
-                        }
-                    )
-                    continue
-                ticket._future.add_done_callback(
+                seq, key = message["seq"], message["key"]
+                with lock:
+                    stats.submitted += 1
+                    queued += 1
+                pool.submit(
+                    run, message["job"], key, time.monotonic()
+                ).add_done_callback(
                     lambda future, seq=seq, key=key: on_done(seq, key, future)
                 )
             elif kind == MSG_PING:
+                with lock:
+                    snapshot = {"queue_depth": queued, **stats.snapshot()}
                 send(
                     {
                         "kind": MSG_PONG,
                         "seq": message.get("seq", 0),
                         "shard": shard_index,
-                        "snapshot": client.snapshot(),
+                        "snapshot": snapshot,
                     }
                 )
             elif kind == MSG_SHUTDOWN:
-                # Close (draining or not) *before* acknowledging: results
-                # of draining jobs are sent by their completion callbacks
-                # during close, so ``bye`` is always the final frame.
-                drain_on_exit = bool(message.get("drain", True))
-                client.close(drain=drain_on_exit)
-                send({"kind": MSG_BYE, "shard": shard_index})
+                drain = bool(message.get("drain", True))
+                acknowledge = True
                 break
             # Unknown kinds are ignored: a newer parent may speak a richer
             # dialect, and dropping is safer than dying.
     finally:
-        try:
-            client.close(drain=drain_on_exit)
-        finally:
-            channel.close()
+        # Running jobs always finish; queued ones run too when draining.
+        # on_done sends every job's frame before this returns, so ``bye``
+        # is the final frame.
+        pool.shutdown(wait=True, cancel_futures=not drain)
+        if acknowledge:
+            send({"kind": MSG_BYE, "shard": shard_index})
+        channel.close()

@@ -58,6 +58,12 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
+        """Entry file of ``key``; every lookup and write goes through here."""
+        if not isinstance(key, str):
+            raise TypeError(
+                f"ResultCache keys are job-hash strings (SimJob.job_hash()), "
+                f"not {type(key).__name__}"
+            )
         return self.directory / f"{key}.pkl"
 
     def __contains__(self, key: str) -> bool:

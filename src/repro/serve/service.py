@@ -36,7 +36,7 @@ import asyncio
 import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
@@ -46,6 +46,7 @@ from ..obs.metrics import (
     Sample,
 )
 from ..obs.trace import get_tracer
+from ..runtime.backends import DEFAULT_PROGRESS_INTERVAL
 from ..runtime.batch import execute_job_with_progress
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
@@ -54,12 +55,14 @@ from .events import EventBus, EventSubscription, ServiceEvent
 from .queue import FairQueue, QueueFullError
 
 __all__ = [
+    "CounterStats",
     "LatencyHistogram",
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceStats",
     "JobTicket",
     "SimulationService",
+    "execute_and_write_back",
 ]
 
 
@@ -124,19 +127,20 @@ class LatencyHistogram(Histogram):
         )
 
 
-class ServiceStats:
-    """Counters of one service instance (monotonic over its lifetime).
+class CounterStats:
+    """Named monotonic counters of one service instance.
 
-    The named counters are backed by :class:`~repro.obs.metrics.Counter`
-    objects in a per-service :class:`~repro.obs.metrics.MetricsRegistry`
-    (per-service so parallel services in one process never merge counts).
-    Attribute access keeps the historical dataclass feel: reads return
-    plain ints, and the ``stats.executed += 1`` idiom still works —
-    assignment routes the delta into the backing counter, which also
-    enforces monotonicity (a decrease raises ``ValueError``).
+    Each entry of :attr:`_COUNTERS` (attribute → exposition name and help)
+    is backed by a :class:`~repro.obs.metrics.Counter` in a per-instance
+    :class:`~repro.obs.metrics.MetricsRegistry` (per-instance so parallel
+    services in one process never merge counts).  Attribute access keeps
+    the historical dataclass feel: reads return plain ints, and the
+    ``stats.executed += 1`` idiom still works — assignment routes the
+    delta into the backing counter, which also enforces monotonicity (a
+    decrease raises ``ValueError``).  Subclasses extend the table.
     """
 
-    _COUNTERS = {
+    _COUNTERS: Dict[str, Tuple[str, str]] = {
         "submitted": ("repro_submitted_total", "Jobs submitted to the service."),
         "coalesced": (
             "repro_coalesced_total",
@@ -148,14 +152,6 @@ class ServiceStats:
         ),
         "executed": ("repro_executed_total", "Jobs actually simulated by a backend."),
         "failed": ("repro_failed_total", "Jobs whose backend raised."),
-        "rejected": (
-            "repro_rejected_total",
-            "Submissions bounced by the admission queue.",
-        ),
-        "cancelled": (
-            "repro_cancelled_total",
-            "Queued jobs cancelled by a non-draining close.",
-        ),
     }
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -164,17 +160,6 @@ class ServiceStats:
             attr: self.registry.counter(name, help)
             for attr, (name, help) in self._COUNTERS.items()
         }
-        #: Jobs completed per worker slot — skew here means unfair pop
-        #: order or one worker pinned on a long simulation.
-        self.per_worker_executed: Dict[int, int] = {}
-        #: Admission-to-completion latency of executed jobs.
-        self.latency = LatencyHistogram()
-        self.registry.register(self.latency)
-        #: Macro-step engine totals accumulated from executed outcomes.
-        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
-        self.registry.add_callback(
-            "repro_worker_executed_total", self._worker_families
-        )
 
     def __getattr__(self, name: str):
         counters = self.__dict__.get("_counters")
@@ -190,6 +175,73 @@ class ServiceStats:
             counters[name].inc(value - counters[name].value)
             return
         object.__setattr__(self, name, value)
+
+    @property
+    def coalescing_hit_rate(self) -> float:
+        """Fraction of submissions served by riding an in-flight duplicate."""
+        return self.coalesced / self.submitted if self.submitted else 0.0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        return self.cache_hits / self.submitted if self.submitted else 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """Every counter of the table plus the two hit rates."""
+        summary: Dict[str, object] = {
+            attr: counter.value for attr, counter in self._counters.items()
+        }
+        summary["coalescing_hit_rate"] = self.coalescing_hit_rate
+        summary["cache_hit_rate"] = self.cache_hit_rate
+        return summary
+
+
+class ServiceStats(CounterStats):
+    """Counters, latency and macro totals of one executing service.
+
+    Used by :class:`SimulationService` and by every cluster shard process
+    (whose pong frames carry :meth:`snapshot`).
+    """
+
+    _COUNTERS = {
+        **CounterStats._COUNTERS,
+        "rejected": (
+            "repro_rejected_total",
+            "Submissions bounced by the admission queue.",
+        ),
+        "cancelled": (
+            "repro_cancelled_total",
+            "Queued jobs cancelled by a non-draining close.",
+        ),
+    }
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        super().__init__(registry)
+        #: Jobs completed per worker slot — skew here means unfair pop
+        #: order or one worker pinned on a long simulation.
+        self.per_worker_executed: Dict[int, int] = {}
+        #: Admission-to-completion latency of executed jobs.
+        self.latency = LatencyHistogram()
+        self.registry.register(self.latency)
+        #: Macro-step engine totals accumulated from executed outcomes.
+        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
+        self.registry.add_callback(
+            "repro_worker_executed_total", self._worker_families
+        )
+
+    def record_executed(
+        self, outcome: SimOutcome, latency: float, worker: Optional[int] = None
+    ) -> None:
+        """Count one backend execution: latency, macro totals, worker slot."""
+        self.executed += 1
+        if worker is not None:
+            self.per_worker_executed[worker] = (
+                self.per_worker_executed.get(worker, 0) + 1
+            )
+        macro = outcome.metrics.get("macro_stats")
+        if isinstance(macro, dict):
+            self.macro["jumps"] += int(macro.get("jumps", 0))
+            self.macro["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
+        self.latency.observe(latency)
 
     def _worker_families(self) -> List[MetricFamily]:
         per_worker = dict(self.per_worker_executed)
@@ -207,27 +259,53 @@ class ServiceStats:
             )
         ]
 
-    @property
-    def coalescing_hit_rate(self) -> float:
-        """Fraction of submissions served by riding an in-flight duplicate."""
-        return self.coalesced / self.submitted if self.submitted else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.submitted if self.submitted else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
+        """:meth:`as_dict` plus per-worker counts, latency and macro totals."""
         return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "coalescing_hit_rate": self.coalescing_hit_rate,
-            "cache_hit_rate": self.cache_hit_rate,
+            **self.as_dict(),
+            "per_worker_executed": dict(self.per_worker_executed),
+            "latency": self.latency.as_dict(),
+            "macro": dict(self.macro),
         }
+
+
+def execute_and_write_back(
+    job: SimJob,
+    key: str,
+    cache: Optional[ResultCache],
+    progress_callback: Optional[Callable[[int], None]] = None,
+    progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
+) -> SimOutcome:
+    """Run ``job`` on its backend, then write the outcome to ``cache``.
+
+    The execute step of both :class:`SimulationService` workers and
+    cluster shards, called on a worker thread so pickle/disk latency never
+    blocks a loop (``ResultCache.put`` is atomic, so a concurrent probe
+    sees either nothing or the complete entry).  A failing write-back is
+    demoted to a warning: the simulation result exists and must reach its
+    waiters.
+    """
+    outcome = execute_job_with_progress(
+        job, progress_callback=progress_callback, progress_interval=progress_interval
+    )
+    if cache is not None:
+        tracer = get_tracer()
+        if tracer is not None:
+            tracer.begin("write_back", key, cat="job")
+        try:
+            cache.put(key, outcome)
+        except Exception as error:  # noqa: BLE001 — best-effort cache
+            import warnings
+
+            warnings.warn(
+                f"result-cache write-back failed for {key[:12]}: {error}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        finally:
+            if tracer is not None:
+                tracer.maybe_end("write_back", key, cat="job")
+    return outcome
 
 
 @dataclass
@@ -551,18 +629,7 @@ class SimulationService:
         return {
             "queue_depth": self.backlog(),
             "inflight": self.inflight(),
-            "submitted": self.stats.submitted,
-            "executed": self.stats.executed,
-            "coalesced": self.stats.coalesced,
-            "cache_hits": self.stats.cache_hits,
-            "failed": self.stats.failed,
-            "rejected": self.stats.rejected,
-            "cancelled": self.stats.cancelled,
-            "coalescing_hit_rate": self.stats.coalescing_hit_rate,
-            "cache_hit_rate": self.stats.cache_hit_rate,
-            "per_worker_executed": dict(self.stats.per_worker_executed),
-            "latency": self.stats.latency.as_dict(),
-            "macro": dict(self.stats.macro),
+            **self.stats.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
         }
 
@@ -601,42 +668,17 @@ class SimulationService:
             "started", entry.key, entry.client, workload=entry.job.workload.name
         )
         progress = functools.partial(self._post_progress, entry)
-
-        def run_and_write_back() -> SimOutcome:
-            # Executed on the worker thread: the cache write-back happens
-            # here too, so pickle/disk latency never blocks the event loop
-            # (ResultCache.put is atomic, so a concurrent loop-thread probe
-            # sees either nothing or the complete entry).  A failing
-            # write-back is demoted to a warning — the simulation result
-            # exists and must reach its waiters.
-            outcome = execute_job_with_progress(
-                entry.job,
-                progress_callback=progress,
-                progress_interval=self.config.progress_interval,
-            )
-            if self.cache is not None:
-                tracer = get_tracer()
-                if tracer is not None:
-                    tracer.begin("write_back", entry.key, cat="job")
-                try:
-                    self.cache.put(entry.key, outcome)
-                except Exception as error:  # noqa: BLE001 — best-effort cache
-                    import warnings
-
-                    warnings.warn(
-                        f"result-cache write-back failed for "
-                        f"{entry.key[:12]}: {error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                finally:
-                    if tracer is not None:
-                        tracer.maybe_end("write_back", entry.key, cat="job")
-            return outcome
-
         try:
             outcome = await self._loop.run_in_executor(
-                self._executor, run_and_write_back
+                self._executor,
+                functools.partial(
+                    execute_and_write_back,
+                    entry.job,
+                    entry.key,
+                    self.cache,
+                    progress,
+                    self.config.progress_interval,
+                ),
             )
         except Exception as error:  # noqa: BLE001 — surfaced to every waiter
             self.stats.failed += 1
@@ -652,16 +694,9 @@ class SimulationService:
             if not entry.future.done():
                 entry.future.set_exception(error)
             return
-        self.stats.executed += 1
-        self.stats.per_worker_executed[worker_index] = (
-            self.stats.per_worker_executed.get(worker_index, 0) + 1
+        self.stats.record_executed(
+            outcome, time.monotonic() - entry.enqueued_at, worker_index
         )
-        macro = outcome.metrics.get("macro_stats")
-        if isinstance(macro, dict):
-            self.stats.macro["jumps"] += int(macro.get("jumps", 0))
-            self.stats.macro["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
-        if entry.enqueued_at:
-            self.stats.latency.observe(time.monotonic() - entry.enqueued_at)
         self._inflight.pop(entry.key, None)
         self.events.publish(
             "finished",

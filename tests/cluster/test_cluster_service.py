@@ -11,6 +11,8 @@ The acceptance tests of the sharded service live here:
 
 import itertools
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from repro.cluster import (
     ClusterService,
     ShardFailedError,
 )
-from repro.runtime import ResultCache, register_backend
+from repro.obs.trace import get_tracer, install_tracer, uninstall_tracer
+from repro.runtime import ResultCache, SimOutcome, register_backend
 from repro.runtime.backends import SimulationBackend
 from repro.serve import ServiceClosedError
 
@@ -41,6 +44,30 @@ def wait_for(predicate, timeout=15.0, interval=0.02, message="condition"):
             return
         time.sleep(interval)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+class SlowBackend(SimulationBackend):
+    """Analytic outcome after a short sleep, so jobs pile up in a shard."""
+
+    def __init__(self, name, seconds=0.05):
+        self.name = name
+        self.seconds = seconds
+
+    def execute(self, job):
+        time.sleep(self.seconds)
+        return SimOutcome.analytic(job, utilization=0.5, ideal_compute_cycles=1)
+
+
+class TracerProbeBackend(SimulationBackend):
+    """Fails when the executing process has a tracer installed."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def execute(self, job):
+        if get_tracer() is not None:
+            raise RuntimeError("the shard kept the parent's tracer")
+        return SimOutcome.analytic(job, utilization=0.5, ideal_compute_cycles=1)
 
 
 def _fast_config(shards=2, **overrides):
@@ -174,6 +201,125 @@ class TestClusterServing:
             outcomes = simulator.simulate_many(jobs)
             assert [o.job_hash for o in outcomes] == [j.job_hash() for j in jobs]
             assert cluster.stats.executed == len(jobs)  # job 0 not re-run
+
+    def test_tiny_cli_backlog_does_not_fail_sharded_jobs(self, capsys):
+        """``--backlog`` bounds only the in-process service: a 1-shard,
+        1-thread daemon takes a burst of 8 slow distinct jobs and runs
+        every one of them."""
+        from repro.cli import main
+
+        backend = SlowBackend(f"cluster-slow-{next(_LOCAL_COUNTER)}")
+        register_backend(backend)
+        specs = [
+            "gemm:8x8x8", "gemm:8x8x16", "gemm:16x8x8", "gemm:8x16x8",
+            "gemm:16x16x16", "gemm:16x16x32", "gemm:8x8x32", "gemm:32x8x8",
+        ]
+        code = main(
+            ["serve", *specs, "--backend", backend.name, "--shards", "1",
+             "--workers", "1", "--backlog", "2", "--no-cache"]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "8 submitted, 8 simulated" in output
+        assert "shards 1, restarts 0" in output
+
+    def test_shard_probes_the_cache_when_a_job_starts(
+        self, tmp_path, gated_backend, make_job
+    ):
+        """A result written while a job waits in its shard is served from
+        the shared cache instead of being simulated again."""
+        backend = gated_backend(touch=True)
+        holder, waiting = (make_job(backend.name, tag=i) for i in range(2))
+        cache_root = tmp_path / "cache"
+        with ClusterService(
+            cache_dir=cache_root, config=_fast_config(shards=1)
+        ) as cluster:
+            first = cluster.submit(holder)
+            wait_for(
+                lambda: any(tmp_path.glob("started-*")),
+                message="the holder job to occupy the only worker",
+            )
+            second = cluster.submit(waiting)
+            assert not second.cache_hit  # dispatched, not a parent-side hit
+            wait_for(
+                lambda: cluster.snapshot(wait=1.0)["queue_depth"] == 1,
+                message="the second job to wait in the shard",
+            )
+            ResultCache(cache_root).put(
+                waiting.job_hash(),
+                SimOutcome.analytic(waiting, utilization=0.5, ideal_compute_cycles=1),
+            )
+            release(backend)
+            assert first.result(timeout=30).job_hash == holder.job_hash()
+            assert second.result(timeout=30).cache_hit
+            assert cluster.stats.shard_cache_hits == 1
+            assert cluster.stats.executed == 1
+
+    def test_non_draining_close_cancels_queued_shard_jobs(
+        self, tmp_path, gated_backend, make_job
+    ):
+        backend = gated_backend(touch=True)
+        holder, *queued = (make_job(backend.name, tag=i) for i in range(3))
+        cluster = ClusterService(
+            cache_dir=tmp_path / "cache", config=_fast_config(shards=1)
+        )
+        running = cluster.submit(holder)
+        wait_for(
+            lambda: any(tmp_path.glob("started-*")),
+            message="the holder job to occupy the only worker",
+        )
+        tickets = [cluster.submit(job) for job in queued]
+        wait_for(
+            lambda: cluster.snapshot(wait=1.0)["queue_depth"] == 2,
+            message="two jobs to wait in the shard",
+        )
+        closer = threading.Thread(target=cluster.close, kwargs={"drain": False})
+        closer.start()
+        try:
+            for ticket in tickets:
+                with pytest.raises(ServiceClosedError):
+                    ticket.result(timeout=30)
+            assert not running.done()  # the running job is not cancelled
+        finally:
+            release(backend)
+            closer.join(timeout=60)
+        assert running.result(timeout=5).job_hash == holder.job_hash()
+
+    def test_shard_counters_survive_concurrent_pool_threads(
+        self, tmp_path, instant_backend, make_job
+    ):
+        """A shard's pool threads share its stats: no update may be lost."""
+        jobs = [make_job(instant_backend.name, tag=i) for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # inherited by the forked shard
+        try:
+            with ClusterService(
+                cache_dir=tmp_path / "cache",
+                config=_fast_config(shards=1, worker_threads=4),
+            ) as cluster:
+                cluster.run(jobs)
+                shard = cluster.snapshot(wait=5.0)["shards"][0]["snapshot"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shard["submitted"] == shard["executed"] == len(jobs)
+        assert shard["latency"]["count"] == len(jobs)
+        assert shard["queue_depth"] == 0
+
+    def test_shards_drop_the_parent_tracer(self, tmp_path, make_job):
+        """A tracer installed before the fork is not kept by the shards."""
+        backend = TracerProbeBackend(f"cluster-trace-{next(_LOCAL_COUNTER)}")
+        register_backend(backend)
+        recorder = install_tracer()
+        try:
+            with ClusterService(
+                cache_dir=tmp_path / "cache", config=_fast_config(shards=1)
+            ) as cluster:
+                outcome = cluster.run([make_job(backend.name)])[0]
+                assert cluster.stats.failed == 0
+        finally:
+            uninstall_tracer()
+        assert outcome.job_hash
+        assert "job" in {event.name for event in recorder.events()}
 
     def test_stats_dict_has_the_serve_cli_keys(self, tmp_path):
         with ClusterService(

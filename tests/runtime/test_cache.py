@@ -2,6 +2,8 @@
 
 import pickle
 
+import pytest
+
 from repro.runtime import ResultCache, SimJob, Simulator
 from repro.system import datamaestro_evaluation_system
 from repro.workloads import GemmWorkload
@@ -109,6 +111,21 @@ class TestResultCache:
         assert stats["entries"] == 1
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_non_string_keys_are_rejected(self, tmp_path):
+        """Passing the job instead of its hash fails loudly, not as a
+        file-name error from deep inside the filesystem layer."""
+        cache = ResultCache(tmp_path)
+        job = SimJob(workload=GEMM)
+        outcome = Simulator().simulate(job)
+        with pytest.raises(TypeError, match="job-hash strings"):
+            cache.get(job)
+        with pytest.raises(TypeError, match="job-hash strings"):
+            cache.put(job, outcome)
+        with pytest.raises(TypeError, match="job-hash strings"):
+            job in cache
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses) == (0, 0)
 
 
 class TestPrune:
