@@ -24,12 +24,8 @@ API-compatible with :class:`~repro.serve.client.ServiceClient`, so
 unchanged.  ``repro serve --shards N`` exposes it from the CLI.
 """
 
-from .journal import (
-    JOB_JOURNAL_FORMAT,
-    JobJournal,
-    JobJournalContents,
-    JobJournalError,
-)
+from ..runtime.appendlog import JournalError
+from .journal import JOB_JOURNAL_FORMAT, JobJournal, JobJournalContents
 from .protocol import MAX_FRAME_BYTES, MessageChannel, ProtocolError, channel_pair
 from .router import ShardRouter
 from .service import ClusterConfig, ClusterService, ClusterStats, ClusterTicket
@@ -39,7 +35,7 @@ __all__ = [
     "JOB_JOURNAL_FORMAT",
     "JobJournal",
     "JobJournalContents",
-    "JobJournalError",
+    "JournalError",
     "MAX_FRAME_BYTES",
     "MessageChannel",
     "ProtocolError",

@@ -272,6 +272,9 @@ class ClusterService:
     # Lifecycle.
     # ------------------------------------------------------------------
     def _start(self) -> None:
+        # The journal is read (and repaired) before any shard forks, so a
+        # damaged journal fails the constructor with nothing left running.
+        unfinished = self._resume_journal() if self.journal is not None else {}
         try:
             for index in range(self.config.shards):
                 handle = self._make_handle(index)
@@ -282,8 +285,11 @@ class ClusterService:
                 handle.kill()
             raise
         self._supervisor.start(self.config.shards)
-        if self.journal is not None:
-            self._resume_journal()
+        for job in unfinished.values():
+            # Already journaled (the compacted file retains them): skip the
+            # duplicate submission record, keep everything else identical.
+            self._submit(job, client="recovery", journal_submission=False)
+        self.stats.recovered += len(unfinished)
 
     def _make_handle(self, index: int) -> ShardHandle:
         return ShardHandle(
@@ -305,24 +311,19 @@ class ClusterService:
             self._handles[index] = handle
         return handle
 
-    def _resume_journal(self) -> None:
+    def _resume_journal(self) -> Dict[str, SimJob]:
+        """Load the journal's completions; return its unfinished jobs."""
         assert self.journal is not None
         if not self.journal.exists():
             self.journal.start()
-            return
+            return {}
         contents = self.journal.resume()
-        with self._lock:
-            self._completed_from_journal = {
-                key: outcome
-                for key, outcome in contents.completed.items()
-                if outcome is not None
-            }
-        unfinished = contents.unfinished()
-        for key, job in unfinished.items():
-            # Already journaled (the compacted file retains them): skip the
-            # duplicate submission record, keep everything else identical.
-            self._submit(job, client="recovery", journal_submission=False)
-        self.stats.recovered += len(unfinished)
+        self._completed_from_journal = {
+            key: outcome
+            for key, outcome in contents.completed.items()
+            if outcome is not None
+        }
+        return contents.unfinished()
 
     def __enter__(self) -> "ClusterService":
         return self

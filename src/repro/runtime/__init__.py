@@ -12,6 +12,8 @@ served from the on-disk result cache.
 * :mod:`repro.runtime.backends` — backend protocol + registry (the
   cycle-level DataMaestro system and the analytic baseline models);
 * :mod:`repro.runtime.cache` — content-addressed on-disk result cache;
+* :mod:`repro.runtime.appendlog` — crash-safe files: the append-only
+  JSON-lines log under both journals and the atomic write under the cache;
 * :mod:`repro.runtime.batch` — :class:`BatchRunner` with process-pool
   fan-out, dedup and deterministic ordering;
 * :mod:`repro.runtime.simulator` — the :class:`Simulator` facade.

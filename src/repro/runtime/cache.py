@@ -7,8 +7,9 @@ the job hash as the filename, so:
   backend, seed, budget) combination — any change produces a new key;
 * bumping the package version invalidates every previous entry without
   touching the files (old versions keep their own subdirectory);
-* concurrent writers are safe: entries are written to a temporary file and
-  atomically renamed into place.
+* concurrent writers are safe: entries are written with
+  :func:`~repro.runtime.appendlog.atomic_write` (a temporary file
+  atomically renamed into place).
 
 The cache stores :class:`~repro.runtime.outcome.SimOutcome` records via
 pickle.  Unreadable entries (corrupt files, entries written by incompatible
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from .appendlog import atomic_write
 from .outcome import SimOutcome
 
 #: Environment variable overriding the default cache location (the read
@@ -121,30 +122,16 @@ class ResultCache:
         construction and write-back) is recreated and the write retried
         once rather than failing the simulation's result delivery.
         """
+        path = self.path_for(key)
+        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         for attempt in (0, 1):
             try:
-                self._put_once(key, outcome)
+                atomic_write(path, data)
                 return
             except FileNotFoundError:
                 if attempt:
                     raise
                 self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _put_once(self, key: str, outcome: SimOutcome) -> None:
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:16]}-", suffix=".tmp", dir=str(self.directory)
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def prune(
         self,

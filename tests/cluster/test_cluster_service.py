@@ -10,6 +10,7 @@ The acceptance tests of the sharded service live here:
 """
 
 import itertools
+import multiprocessing
 import os
 import sys
 import threading
@@ -21,6 +22,8 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ClusterService,
+    JobJournal,
+    JournalError,
     ShardFailedError,
 )
 from repro.obs.trace import get_tracer, install_tracer, uninstall_tracer
@@ -498,3 +501,28 @@ class TestJournalRecovery:
         text = journal_path.read_text()
         assert text.count('"submitted"') == 1
         assert text.count('"completed"') == 1
+
+    def test_damaged_journal_fails_before_any_shard_starts(
+        self, tmp_path, instant_backend, make_job
+    ):
+        """A journal damaged mid-file fails the constructor and leaves no
+        shard process and no supervisor thread behind."""
+        journal = JobJournal(tmp_path / "damaged.jsonl")
+        journal.start()
+        job = make_job(instant_backend.name)
+        journal.record_submission(job.job_hash(), job)
+        header, record = journal.path.read_text().splitlines()
+        journal.path.write_text("\n".join([header, "garbage{{{", record]) + "\n")
+
+        def supervisors():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "repro-cluster-supervisor" and thread.is_alive()
+            }
+
+        children, threads = set(multiprocessing.active_children()), supervisors()
+        with pytest.raises(JournalError):
+            ClusterService(config=_fast_config(shards=1), journal=journal.path)
+        assert set(multiprocessing.active_children()) <= children
+        assert supervisors() <= threads

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster import JobJournal, JobJournalError
+from repro.cluster import JobJournal, JournalError
 from repro.runtime import SimJob, SimOutcome
 from repro.workloads import GemmWorkload
 
@@ -60,19 +60,19 @@ class TestJournalBasics:
         assert replayed.job_hash == job.job_hash()
 
     def test_load_missing_journal_raises(self, tmp_path):
-        with pytest.raises(JobJournalError):
+        with pytest.raises(JournalError):
             JobJournal(tmp_path / "absent.jsonl").load()
 
     def test_load_rejects_garbage_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
-        with pytest.raises(JobJournalError):
+        with pytest.raises(JournalError):
             JobJournal(path).load()
 
     def test_load_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"type": "header", "format": 999}) + "\n")
-        with pytest.raises(JobJournalError):
+        with pytest.raises(JournalError):
             JobJournal(path).load()
 
 
@@ -101,7 +101,7 @@ class TestCrashTolerance:
             json.dumps({"type": "completed", "key": job.job_hash()})
         )
         journal.path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JobJournalError):
+        with pytest.raises(JournalError):
             journal.load()
 
     def test_resume_repairs_and_compacts(self, tmp_path):
